@@ -107,9 +107,8 @@ func writeGoldenFile(t *testing.T, g goldenFile) {
 	}
 }
 
-// optimizeGolden runs one benchmark under the golden configuration and
-// returns its pinned numbers.
-func optimizeGolden(t *testing.T, db *mcc.DB, b Benchmark, model string, workers int) goldenEntry {
+// runGolden runs one benchmark under the golden configuration.
+func runGolden(t *testing.T, db *mcc.DB, b Benchmark, model string, workers int) mcc.Result {
 	t.Helper()
 	res := mcc.Optimize(context.Background(), b.Build(),
 		mcc.WithDB(db),
@@ -120,6 +119,17 @@ func optimizeGolden(t *testing.T, db *mcc.DB, b Benchmark, model string, workers
 	if res.Err != nil {
 		t.Fatalf("%s/%s: %v", b.Name, model, res.Err)
 	}
+	return res
+}
+
+// optimizeGolden runs one benchmark under the golden configuration and
+// returns its pinned numbers.
+func optimizeGolden(t *testing.T, db *mcc.DB, b Benchmark, model string, workers int) goldenEntry {
+	t.Helper()
+	return goldenEntryOf(runGolden(t, db, b, model, workers))
+}
+
+func goldenEntryOf(res mcc.Result) goldenEntry {
 	c := res.Network.CountGates()
 	return goldenEntry{And: c.And, AndDepth: c.AndDepth, Xor: c.Xor}
 }
@@ -248,6 +258,36 @@ func TestGoldenComparisonDetectsDrift(t *testing.T) {
 	for _, p := range perturbed {
 		if err := compareGolden("b", "mc", p, base); err == nil {
 			t.Errorf("drift %+v vs %+v not detected", p, base)
+		}
+	}
+}
+
+// TestMultiplierDepthNoRecoveredPanics pins the fix for a panic the
+// per-replacement check used to raise on multiplier under the depth model
+// ("functionOf cone escapes its leaves"): realizing a candidate strashed
+// onto a gate an earlier commit of the round had substituted, so the
+// realized cone escaped the cut leaves. Such a candidate is now rejected
+// structurally, like a cyclic one, so the run counts no recovered panic
+// (and the result cache may keep it) while its result stays on the pin.
+func TestMultiplierDepthNoRecoveredPanics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden suite skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("golden suite skipped under -race: it pins results, not memory safety")
+	}
+	b, ok := ByName("multiplier")
+	if !ok {
+		t.Fatal("multiplier benchmark missing")
+	}
+	pin := readGoldenFile(t)["multiplier"]["depth"]
+	for _, workers := range []int{1, 4} {
+		res := runGolden(t, mcc.NewDB(), b, "depth", workers)
+		if n := res.Degraded.RecoveredPanics; n != 0 {
+			t.Errorf("workers=%d: %d recovered panics, want 0", workers, n)
+		}
+		if err := compareGolden(b.Name, "depth", goldenEntryOf(res), pin); err != nil {
+			t.Errorf("workers=%d: %v", workers, err)
 		}
 	}
 }

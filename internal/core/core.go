@@ -311,24 +311,35 @@ type replacement struct {
 }
 
 // functionOf evaluates the function of lit as a truth table over the given
-// leaf literals. The cone of lit must be bounded by the leaves.
-func functionOf(net *xag.Network, lit xag.Lit, leaves []xag.Lit) tt.T {
+// leaf literals. ok is false when the cone of lit is not bounded by the
+// leaves: realization can strash onto a gate that an earlier commit of the
+// round already substituted, and resolving it lands on that gate's
+// replacement, whose cone lies outside the cut.
+func functionOf(net *xag.Network, lit xag.Lit, leaves []xag.Lit) (tt.T, bool) {
 	n := len(leaves)
 	memo := map[int]tt.T{0: tt.Const0(n)}
 	for i, l := range leaves {
 		memo[l.Node()] = tt.Var(i, n).Xor(constIf(l.Compl(), n))
 	}
-	var eval func(id int) tt.T
-	eval = func(id int) tt.T {
+	var eval func(id int) (tt.T, bool)
+	eval = func(id int) (tt.T, bool) {
 		if t, ok := memo[id]; ok {
-			return t
+			return t, true
 		}
 		if !net.IsGate(id) {
-			panic("core: functionOf cone escapes its leaves")
+			return tt.T{}, false // a primary input that is not a leaf
 		}
 		f0, f1 := net.Fanins(id)
-		a := eval(f0.Node()).Xor(constIf(f0.Compl(), n))
-		b := eval(f1.Node()).Xor(constIf(f1.Compl(), n))
+		a, ok := eval(f0.Node())
+		if !ok {
+			return tt.T{}, false
+		}
+		b, ok := eval(f1.Node())
+		if !ok {
+			return tt.T{}, false
+		}
+		a = a.Xor(constIf(f0.Compl(), n))
+		b = b.Xor(constIf(f1.Compl(), n))
 		var t tt.T
 		if net.Kind(id) == xag.KindAnd {
 			t = a.And(b)
@@ -336,10 +347,14 @@ func functionOf(net *xag.Network, lit xag.Lit, leaves []xag.Lit) tt.T {
 			t = a.Xor(b)
 		}
 		memo[id] = t
-		return t
+		return t, true
 	}
-	out := eval(net.Resolve(lit).Node())
-	return out.Xor(constIf(net.Resolve(lit).Compl(), n))
+	root := net.Resolve(lit)
+	out, ok := eval(root.Node())
+	if !ok {
+		return tt.T{}, false
+	}
+	return out.Xor(constIf(root.Compl(), n)), true
 }
 
 func constIf(c bool, n int) tt.T {

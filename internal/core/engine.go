@@ -28,7 +28,8 @@ import (
 //
 //  1. enumerate: k-feasible priority cuts for every node (level-parallel);
 //  2. classify: workers shard the nodes, shrink each cut function,
-//     affine-classify it and fetch the representative circuit from the
+//     affine-classify it and, when the classification is complete (or
+//     UseIncomplete is set), fetch the representative circuit from the
 //     shared database — the expensive, embarrassingly parallel part. No
 //     worker touches the network; each writes only its own result slots.
 //  3. commit: an id-order pass re-validates every candidate's gain against
@@ -436,21 +437,24 @@ func (e *Engine) prepareNode(id int, cuts []cut.Cut, memo *prepMemo, localPrep m
 		}
 		if mp == nil {
 			fresh = true
-			// Model-driven entry selection: the database may hold several
-			// circuits per class (an MC-optimal one, a shallower one); the
-			// model picks. For the MC model this is exactly the old Lookup.
-			entry, res := e.db.LookupModel(sh, e.opts.Cost)
-			mp = &memoPrep{entry: entry, tr: res.Tr, incomplete: !res.Complete}
-			switch {
-			case mp.incomplete && !e.opts.UseIncomplete:
-				// Skipped below; the entry is never consulted, so its
-				// validity is irrelevant.
-			case entry.Validate() != nil:
-				mp.invalid = true
-				e.logf("core: node %d: invalid database entry: %v", id, entry.Validate())
-			default:
-				mp.newAnds = entry.MC()
-				mp.newXors = entry.XorCost() + res.Tr.XorCost()
+			// Classify first; fetch (and on a miss synthesize) the class
+			// circuit only when the cut can use it. An incomplete class is
+			// skipped below, so its entry is never read and never built.
+			res := e.db.Classify(sh)
+			mp = &memoPrep{tr: res.Tr, incomplete: !res.Complete}
+			if !mp.incomplete || e.opts.UseIncomplete {
+				// Model-driven entry selection: the database may hold several
+				// circuits per class (an MC-optimal one, a shallower one); the
+				// model picks. For the MC model this is exactly Lookup's entry.
+				entry := e.db.EntryModel(res.Repr, e.opts.Cost)
+				mp.entry = entry
+				if err := entry.Validate(); err != nil {
+					mp.invalid = true
+					e.logf("core: node %d: invalid database entry: %v", id, err)
+				} else {
+					mp.newAnds = entry.MC()
+					mp.newXors = entry.XorCost() + res.Tr.XorCost()
+				}
 			}
 			if memo != nil {
 				mp = memo.put(sh, mp)
@@ -650,8 +654,8 @@ func (e *Engine) bestReplacement(net *xag.Network, id int, cuts []cut.Cut, prep 
 
 // applyReplacement realizes and substitutes the chosen candidate (nil means
 // "no profitable candidate" and is a no-op). It reports whether the node
-// was substituted. Realization happens even when the feedback or
-// truth-table check then rejects the candidate — the dangling nodes it
+// was substituted. Realization happens even when the feedback, cone-escape
+// or truth-table check then rejects the candidate — the dangling nodes it
 // creates die in the end-of-round Cleanup but are observable within the
 // round, which is why the parallel commit re-runs (never replays) every
 // node whose footprint a prior commit touched.
@@ -673,7 +677,11 @@ func (e *Engine) applyReplacement(net *xag.Network, id int, best *replacement, d
 	// substitution is discarded (its dangling nodes die in the end-of-round
 	// Cleanup) and counted, so a sick database degrades optimization
 	// quality, never correctness.
-	if got := functionOf(net, lit, best.leaves); got != best.want {
+	got, ok := functionOf(net, lit, best.leaves)
+	if !ok {
+		return false // realized cone escapes the cut leaves: not a rewrite of this cut
+	}
+	if got != best.want {
 		deg.RejectedRewrites++
 		e.logf("core: node %d: rejected rewrite computing %s, want %s", id, got, best.want)
 		return false

@@ -16,10 +16,10 @@ import (
 // transform, costs, and the degradation verdicts. Within a Minimize the
 // per-class database state is append-stable (a class front is synthesized on
 // first lookup and never changes afterwards), so the memoized value is
-// exactly what a fresh LookupModel would return — replaying it preserves
-// bit-identical commits while skipping the lookup's lock, Pareto scan, and
-// validation for every repeated function. The memo is sharded like the
-// database's own classification cache so classify workers rarely contend.
+// exactly what a fresh Classify plus EntryModel would return — replaying it
+// preserves bit-identical commits while skipping the lookup's lock, Pareto
+// scan, and validation for every repeated function. The memo is sharded like
+// the database's own classification cache so classify workers rarely contend.
 type prepMemo struct {
 	shards [16]prepMemoShard
 }

@@ -150,7 +150,7 @@ type DB struct {
 	// circuits under (MC, AndDepth), sorted by ascending MC (AndDepth and
 	// XorCost breaking ties). The head of the list is the MC-best circuit —
 	// the single entry the pre-Pareto database stored — so MC-model lookups
-	// are unchanged; other models select from the front via LookupModel.
+	// are unchanged; other models select from the front via EntryModel.
 	mu       sync.Mutex
 	entries  map[key][]*Entry
 	building map[key]bool // representatives whose synthesis is in progress
@@ -317,9 +317,20 @@ func implOf(e *Entry) cost.Impl {
 // representative's Pareto front holds several circuits (say, an MC-optimal
 // one and a shallower one with an extra AND), the model's Better ordering
 // picks the preferred implementation. For the MC model this returns exactly
-// what Lookup returns.
+// what Lookup returns. LookupModel is exactly Classify followed by
+// EntryModel on the representative.
 func (db *DB) LookupModel(f tt.T, m cost.Model) (*Entry, spectral.Result) {
 	res := db.Classify(f)
+	return db.EntryModel(res.Repr, m), res
+}
+
+// EntryModel returns the circuit of class representative repr that the
+// model's Better ordering prefers among the class's Pareto front,
+// synthesizing the front head on a miss. It does not classify repr. Callers
+// that may discard the result after classification (the rewriting engine
+// skips incomplete classes) call Classify first and EntryModel only when the
+// entry will be used, so no synthesis is spent on circuits nobody reads.
+func (db *DB) EntryModel(repr tt.T, m cost.Model) *Entry {
 	best := func() *Entry {
 		// The unlock must be deferred: a panic during synthesis (e.g. a
 		// corrupted entry failing verification) is recovered by the engine's
@@ -327,8 +338,8 @@ func (db *DB) LookupModel(f tt.T, m cost.Model) (*Entry, spectral.Result) {
 		// later lookup.
 		db.mu.Lock()
 		defer db.mu.Unlock()
-		best := db.entryForLocked(res.Repr) // synthesizes the front head on a miss
-		for _, e := range db.entries[keyOf(res.Repr)][1:] {
+		best := db.entryForLocked(repr) // synthesizes the front head on a miss
+		for _, e := range db.entries[keyOf(repr)][1:] {
 			if m.Better(implOf(e), implOf(best)) {
 				best = e
 			}
@@ -338,7 +349,7 @@ func (db *DB) LookupModel(f tt.T, m cost.Model) (*Entry, spectral.Result) {
 	// Same fault-injection point as Lookup: the selected entry, whatever the
 	// model, must pass the rewriter's per-replacement verification.
 	faultinject.Inject(faultinject.PointDBEntry, best)
-	return best, res
+	return best
 }
 
 // AddAlternate offers an extra verified circuit for e.F's Pareto front, e.g.
