@@ -228,6 +228,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "degradation: %d rejected rewrites, %d invalid entries, %d incomplete classifications, %d recovered panics\n",
 				d.RejectedRewrites, d.InvalidEntries, d.IncompleteClassifications, d.RecoveredPanics)
 		}
+		var g core.RoundStats
+		for _, r := range res.Rounds {
+			g.CycleRejects += r.CycleRejects
+			g.ConeEscapes += r.ConeEscapes
+			g.GuardFallbacks += r.GuardFallbacks
+		}
+		fmt.Fprintf(stderr, "cycle guard: %d cycle rejections, %d cone escapes, %d full-walk fallbacks\n",
+			g.CycleRejects, g.ConeEscapes, g.GuardFallbacks)
 	}
 	fmt.Fprintf(stderr, "AND %d -> %d (%.0f%%)  XOR %d -> %d  AND-depth %d -> %d  rounds %d\n",
 		before.And, after.And, 100*(1-ratio(after.And, before.And)),

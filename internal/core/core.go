@@ -182,6 +182,16 @@ type RoundStats struct {
 	CommitBatches   int
 	CommitSkipped   int
 	CommitConflicts int
+
+	// Commit-stage guard counters (DESIGN.md §14, "Bounded cycle guard").
+	// ConeEscapes counts realized replacements whose cone left the cut
+	// leaves, CycleRejects those that would have fed back into their own
+	// root; both are structural rejections, not Degradation. GuardFallbacks
+	// counts cycle-guard queries the bounded leaf check could not settle,
+	// which the full transitive-fanin walk answered instead.
+	ConeEscapes    int
+	CycleRejects   int
+	GuardFallbacks int
 }
 
 // Degradation counts the defensive events of a run: each counter is one
@@ -314,8 +324,10 @@ type replacement struct {
 // leaf literals. ok is false when the cone of lit is not bounded by the
 // leaves: realization can strash onto a gate that an earlier commit of the
 // round already substituted, and resolving it lands on that gate's
-// replacement, whose cone lies outside the cut.
-func functionOf(net *xag.Network, lit xag.Lit, leaves []xag.Lit) (tt.T, bool) {
+// replacement, whose cone lies outside the cut. When ok, hitRoot reports
+// whether the walk — exactly the cone of lit down to the leaves — passed
+// through node root; the cycle guard (feedsRoot) builds on that.
+func functionOf(net *xag.Network, lit xag.Lit, leaves []xag.Lit, root int) (t tt.T, ok, hitRoot bool) {
 	n := len(leaves)
 	memo := map[int]tt.T{0: tt.Const0(n)}
 	for i, l := range leaves {
@@ -328,6 +340,9 @@ func functionOf(net *xag.Network, lit xag.Lit, leaves []xag.Lit) (tt.T, bool) {
 		}
 		if !net.IsGate(id) {
 			return tt.T{}, false // a primary input that is not a leaf
+		}
+		if id == root {
+			hitRoot = true
 		}
 		f0, f1 := net.Fanins(id)
 		a, ok := eval(f0.Node())
@@ -349,12 +364,11 @@ func functionOf(net *xag.Network, lit xag.Lit, leaves []xag.Lit) (tt.T, bool) {
 		memo[id] = t
 		return t, true
 	}
-	root := net.Resolve(lit)
-	out, ok := eval(root.Node())
-	if !ok {
-		return tt.T{}, false
+	out := net.Resolve(lit)
+	if t, ok = eval(out.Node()); !ok {
+		return tt.T{}, false, false
 	}
-	return out.Xor(constIf(root.Compl(), n)), true
+	return t.Xor(constIf(out.Compl(), n)), true, hitRoot
 }
 
 func constIf(c bool, n int) tt.T {

@@ -60,6 +60,8 @@ type Engine struct {
 	// Scratch for the engine-goroutine side of the commit stage; the
 	// parallel commit predictor gives each worker its own commitScratch.
 	sc commitScratch
+
+	guardAudit *guardAudit // nil outside tests; see feedsRoot
 }
 
 // commitScratch bundles the reusable buffers of candidate re-validation —
@@ -516,7 +518,7 @@ func (e *Engine) commitStage(ctx context.Context, net *xag.Network, order []int,
 		if net.Ref(id) == 0 {
 			continue // died as part of an earlier replacement
 		}
-		if e.commitNodeProtected(net, id, cuts.For(id), prep[id], deg) {
+		if e.commitNodeProtected(net, id, cuts.For(id), prep[id], stats, deg) {
 			stats.Replacements++
 		}
 	}
@@ -526,7 +528,7 @@ func (e *Engine) commitStage(ctx context.Context, net *xag.Network, order []int,
 // commitNodeProtected isolates one node's commit: a panic anywhere in gain
 // evaluation or realization is recovered, counted, and treated as "no
 // replacement".
-func (e *Engine) commitNodeProtected(net *xag.Network, id int, cuts []cut.Cut, prep []prepared, deg *Degradation) (applied bool) {
+func (e *Engine) commitNodeProtected(net *xag.Network, id int, cuts []cut.Cut, prep []prepared, stats *RoundStats, deg *Degradation) (applied bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			deg.RecoveredPanics++
@@ -537,16 +539,16 @@ func (e *Engine) commitNodeProtected(net *xag.Network, id int, cuts []cut.Cut, p
 	// Fault-injection point: tests panic or delay here to exercise the
 	// recovery and cancellation paths.
 	faultinject.Inject(faultinject.PointNode, id)
-	return e.commitNode(net, id, cuts, prep, deg)
+	return e.commitNode(net, id, cuts, prep, stats, deg)
 }
 
 // commitNode re-validates the node's prepared candidates against the
 // current network state, picks the most profitable one (steps 1–9 of
 // Algorithm 1), and applies it. It reports whether the node was
 // substituted.
-func (e *Engine) commitNode(net *xag.Network, id int, cuts []cut.Cut, prep []prepared, deg *Degradation) bool {
+func (e *Engine) commitNode(net *xag.Network, id int, cuts []cut.Cut, prep []prepared, stats *RoundStats, deg *Degradation) bool {
 	best := e.bestReplacement(net, id, cuts, prep, &e.sc, nil)
-	return e.applyReplacement(net, id, best, deg)
+	return e.applyReplacement(net, id, best, stats, deg)
 }
 
 // bestReplacement re-validates the node's prepared candidates against the
@@ -654,12 +656,17 @@ func (e *Engine) bestReplacement(net *xag.Network, id int, cuts []cut.Cut, prep 
 
 // applyReplacement realizes and substitutes the chosen candidate (nil means
 // "no profitable candidate" and is a no-op). It reports whether the node
-// was substituted. Realization happens even when the feedback, cone-escape
+// was substituted. Realization happens even when the cone-escape, feedback
 // or truth-table check then rejects the candidate — the dangling nodes it
 // creates die in the end-of-round Cleanup but are observable within the
 // round, which is why the parallel commit re-runs (never replays) every
 // node whose footprint a prior commit touched.
-func (e *Engine) applyReplacement(net *xag.Network, id int, best *replacement, deg *Degradation) bool {
+//
+// The checks run in that order: the two structural rejections are counted
+// in RoundStats only, so only a candidate that passes both reaches the
+// counted truth-table compare — the same Degradation as running the cycle
+// guard first.
+func (e *Engine) applyReplacement(net *xag.Network, id int, best *replacement, stats *RoundStats, deg *Degradation) bool {
 	if best == nil {
 		return false
 	}
@@ -668,7 +675,13 @@ func (e *Engine) applyReplacement(net *xag.Network, id int, best *replacement, d
 		return true
 	}
 	lit := best.realize()
-	if net.InTFIScratch(lit, id, &e.sc.tfi) {
+	got, ok, hitRoot := functionOf(net, lit, best.leaves, id)
+	if !ok {
+		stats.ConeEscapes++
+		return false // realized cone escapes the cut leaves: not a rewrite of this cut
+	}
+	if e.feedsRoot(net, id, lit, best.leaves, hitRoot, stats) {
+		stats.CycleRejects++
 		return false // replacement would feed back into the node's cone
 	}
 	// Always-on per-replacement verification: the realized circuit must
@@ -677,10 +690,6 @@ func (e *Engine) applyReplacement(net *xag.Network, id int, best *replacement, d
 	// substitution is discarded (its dangling nodes die in the end-of-round
 	// Cleanup) and counted, so a sick database degrades optimization
 	// quality, never correctness.
-	got, ok := functionOf(net, lit, best.leaves)
-	if !ok {
-		return false // realized cone escapes the cut leaves: not a rewrite of this cut
-	}
 	if got != best.want {
 		deg.RejectedRewrites++
 		e.logf("core: node %d: rejected rewrite computing %s, want %s", id, got, best.want)
@@ -688,6 +697,41 @@ func (e *Engine) applyReplacement(net *xag.Network, id int, best *replacement, d
 	}
 	net.Substitute(id, lit)
 	return true
+}
+
+// cycleGuardBudget caps the gates the bounded cycle guard expands while
+// showing that a cut's leaves still lie below its root. An intact cut of
+// K ≤ 6 leaves has a cone of at most a few dozen gates, so the cap only
+// stops walks through a cut that earlier commits of the round reshaped.
+const cycleGuardBudget = 256
+
+// feedsRoot reports whether root lies in the transitive fanin of the
+// realized replacement lit — exactly InTFI(lit, root) — given that lit's
+// cone stays within leaves and hitRoot says whether that cone contains
+// root. When every leaf is shown to lie strictly below root, acyclicity
+// keeps root out of every leaf's fanin, so the cone alone decides;
+// otherwise (the cut was reshaped, or the budget ran out) the full walk
+// answers. DESIGN.md §14 ("Bounded cycle guard") has the proof.
+func (e *Engine) feedsRoot(net *xag.Network, root int, lit xag.Lit, leaves []xag.Lit, hitRoot bool, stats *RoundStats) bool {
+	if net.LeavesInTFI(root, leaves, cycleGuardBudget, &e.sc.tfi) {
+		if a := e.guardAudit; a != nil {
+			a.fast++
+			if hitRoot != net.InTFIScratch(lit, root, &e.sc.tfi) {
+				a.mismatches++
+			}
+		}
+		return hitRoot
+	}
+	stats.GuardFallbacks++
+	return net.InTFIScratch(lit, root, &e.sc.tfi)
+}
+
+// guardAudit is a test seam: when an engine carries one, every answer the
+// bounded cycle guard gives from the cut's cone is re-checked against the
+// full walk.
+type guardAudit struct {
+	fast       int // guard queries answered from the cut's cone
+	mismatches int // of those, answers that differ from InTFIScratch
 }
 
 // Minimize runs rewriting rounds until convergence (or Options.MaxRounds),

@@ -25,6 +25,10 @@ type engineMetrics struct {
 	commitConflicts *metrics.Counter
 	commitSkips     *metrics.Counter
 	commitBatchSize *metrics.Histogram
+
+	coneEscapes    *metrics.Counter
+	cycleRejects   *metrics.Counter
+	guardFallbacks *metrics.Counter
 }
 
 // newEngineMetrics registers (or re-binds) the engine counters on r. The
@@ -50,6 +54,10 @@ func newEngineMetrics(r *metrics.Registry) engineMetrics {
 		commitConflicts: r.Counter("mcc_commit_conflicts_total", "Commit-stage nodes re-evaluated because an earlier commit wrote into their read footprint."),
 		commitSkips:     r.Counter("mcc_commit_parallel_skips_total", "Commit-stage nodes finalized by the parallel predictor's clean-footprint proof without re-evaluation."),
 		commitBatchSize: r.Histogram("mcc_commit_batch_size", "Predicted rewrites per conflict-free commit batch.", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}),
+
+		coneEscapes:    r.Counter("mcc_cone_escapes_total", "Realized replacements dropped because their cone escaped the cut leaves."),
+		cycleRejects:   r.Counter("mcc_cycle_rejects_total", "Realized replacements dropped by the cycle guard because they would feed their own root."),
+		guardFallbacks: r.Counter("mcc_cycle_guard_fallbacks_total", "Cycle-guard queries answered by the full transitive-fanin walk instead of the cut's cone."),
 	}
 }
 
@@ -63,6 +71,9 @@ func (m *engineMetrics) observeRound(stats RoundStats) {
 	m.commitBatches.Add(int64(stats.CommitBatches))
 	m.commitConflicts.Add(int64(stats.CommitConflicts))
 	m.commitSkips.Add(int64(stats.CommitSkipped))
+	m.coneEscapes.Add(int64(stats.ConeEscapes))
+	m.cycleRejects.Add(int64(stats.CycleRejects))
+	m.guardFallbacks.Add(int64(stats.GuardFallbacks))
 }
 
 // observeCommitPartition records the batch-size distribution of one

@@ -279,7 +279,7 @@ func (e *Engine) commitStageParallel(ctx context.Context, net *xag.Network, orde
 		if net.Ref(id) == 0 {
 			continue // died as part of an earlier replacement
 		}
-		if e.commitNodeProtected(net, id, cuts.For(id), prep[id], deg) {
+		if e.commitNodeProtected(net, id, cuts.For(id), prep[id], stats, deg) {
 			stats.Replacements++
 		}
 	}

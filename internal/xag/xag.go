@@ -385,8 +385,10 @@ func (n *Network) EnsureDepths() {
 }
 
 // Substitute redirects every reference to node old to the literal repl.
-// The caller must guarantee that old is not in the transitive fanin of repl
-// (see InTFI). Reference counts are updated: the old node's fanout count is
+// The caller must guarantee that old is not in the transitive fanin of repl:
+// InTFI answers that exactly, and LeavesInTFI lets a cut-based rewriter
+// answer it from the cut's own cone (DESIGN.md §14, "Bounded cycle
+// guard"). Reference counts are updated: the old node's fanout count is
 // transferred to repl, and old's cone is dereferenced.
 func (n *Network) Substitute(old int, replacement Lit) {
 	replacement = n.Resolve(replacement)
@@ -448,20 +450,10 @@ type TFIScratch struct {
 
 // InTFIScratch is InTFI with caller-owned scratch: repeated queries reuse
 // the visited stamps and traversal stack, so a query allocates only when the
-// network outgrew the scratch. The commit loop of a rewriting round calls
-// this once per applied replacement.
+// network outgrew the scratch. The rewriting engine's cycle guard falls
+// back to it when LeavesInTFI cannot settle a query.
 func (n *Network) InTFIScratch(l Lit, target int, s *TFIScratch) bool {
-	if len(s.stamp) < len(n.nodes) {
-		s.stamp = make([]int32, len(n.nodes)+len(n.nodes)/2)
-		s.epoch = 0
-	}
-	s.epoch++
-	if s.epoch == 0 { // wrapped: stamps from 2^31 queries ago are stale
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
-		s.epoch = 1
-	}
+	s.begin(len(n.nodes), 1)
 	s.stack = append(s.stack[:0], int32(n.Resolve(l).Node()))
 	for len(s.stack) > 0 {
 		id := int(s.stack[len(s.stack)-1])
@@ -477,4 +469,73 @@ func (n *Network) InTFIScratch(l Lit, target int, s *TFIScratch) bool {
 		s.stack = append(s.stack, int32(f0.Node()), int32(f1.Node()))
 	}
 	return false
+}
+
+// begin readies the scratch for a query over a network of size nodes that
+// needs k fresh stamp values: afterwards no stamp holds any of
+// s.epoch-k+1 .. s.epoch.
+func (s *TFIScratch) begin(size int, k int32) {
+	if len(s.stamp) < size {
+		s.stamp = make([]int32, size+size/2)
+		s.epoch = 0
+	}
+	if s.epoch > 1<<31-1-k { // about to overflow: clear every stamp and restart
+		for i := range s.stamp {
+			s.stamp[i] = 0
+		}
+		s.epoch = 0
+	}
+	s.epoch += k
+}
+
+// LeavesInTFI reports whether every leaf node lies strictly below root: in
+// the transitive fanin of root's resolved fanins. The walk descends from
+// root, stops at leaf nodes without expanding them, and gives up (reporting
+// false) once it has expanded budget gates; leaf complement bits are
+// ignored and duplicate leaves count once. A true answer is exact; false
+// means "not shown" (a leaf lies outside root's current cone, only below
+// another leaf, or beyond the budget). A leaf equal to root is never strictly
+// below it, and a non-gate root has nothing below it.
+//
+// With an acyclic network, a true answer puts root outside the transitive
+// fanin of every leaf — which is what lets a cut rewriter decide "does root
+// feed its replacement?" from the replacement's cone down to those leaves
+// alone. The scratch is shared with InTFIScratch; a warm query allocates
+// nothing.
+func (n *Network) LeavesInTFI(root int, leaves []Lit, budget int, s *TFIScratch) bool {
+	if !n.IsGate(root) {
+		return len(leaves) == 0
+	}
+	s.begin(len(n.nodes), 2)
+	visited, pending := s.epoch, s.epoch-1
+	need := 0
+	for _, l := range leaves {
+		if id := l.Node(); s.stamp[id] != pending {
+			s.stamp[id] = pending
+			need++
+		}
+	}
+	f0, f1 := n.Fanins(root)
+	s.stack = append(s.stack[:0], int32(f0.Node()), int32(f1.Node()))
+	for len(s.stack) > 0 && need > 0 {
+		id := int(s.stack[len(s.stack)-1])
+		s.stack = s.stack[:len(s.stack)-1]
+		switch {
+		case s.stamp[id] == visited: // already seen
+		case s.stamp[id] == pending:
+			s.stamp[id] = visited
+			need--
+		case !n.IsGate(id):
+			s.stamp[id] = visited
+		default:
+			if budget == 0 {
+				return false
+			}
+			budget--
+			s.stamp[id] = visited
+			g0, g1 := n.Fanins(id)
+			s.stack = append(s.stack, int32(g0.Node()), int32(g1.Node()))
+		}
+	}
+	return need == 0
 }
