@@ -88,21 +88,12 @@ type Options struct {
 	// (0 = unlimited) — a budget knob for latency-bounded callers.
 	MaxRewritesPerRound int
 
-	// Workers bounds the worker pool of the parallel cut-enumeration,
-	// classification, and commit-prediction stages of each round
-	// (0 = GOMAXPROCS, 1 = fully sequential). The committed network is
-	// bit-identical for every value: commits land in node-id order
-	// regardless, and the parallel commit only skips nodes proven to be
-	// no-ops (see DESIGN.md §14).
+	// Workers bounds the worker pool of the parallel cut-enumeration and
+	// classification stages of each round (0 = GOMAXPROCS, 1 = fully
+	// sequential). The commit stage is one sequential node-id-order pass
+	// (DESIGN.md §14), so the committed network is bit-identical for every
+	// value.
 	Workers int
-
-	// SequentialCommit forces the commit stage of every round onto the
-	// single-threaded reference pass even when Workers > 1. The committed
-	// network is byte-identical either way — the parallel commit is
-	// conflict-gated precisely so it cannot diverge — so this switch exists
-	// for bisecting suspected determinism bugs in production and for
-	// measuring the parallel commit's contribution, not for correctness.
-	SequentialCommit bool
 
 	// NoIncremental disables the cross-round reuse of cut lists and
 	// classifications inside Minimize; every round then re-runs the full
@@ -173,14 +164,11 @@ type RoundStats struct {
 	ClassifyTime  time.Duration
 	CommitTime    time.Duration
 
-	// Parallel-commit observability, all zero when the round used the
-	// sequential commit pass: CommitBatches counts the conflict-free
-	// batches the partitioner formed from predicted rewrites, CommitSkipped
-	// the nodes finalized by the predictor's clean-footprint proof without
-	// re-evaluation, and CommitConflicts the nodes re-evaluated because an
-	// earlier commit wrote into their read footprint.
-	CommitBatches   int
-	CommitSkipped   int
+	// CommitConflicts always reads 0. It counted the nodes the removed
+	// parallel commit re-evaluated because an earlier commit wrote into
+	// their read footprint; the sequential pass evaluates every node once
+	// and has no conflicts. The field remains because the benchmark's
+	// per-layer report still reads it (core.commit_conflicts).
 	CommitConflicts int
 
 	// Commit-stage guard counters (DESIGN.md §14, "Bounded cycle guard").

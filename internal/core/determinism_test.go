@@ -55,17 +55,82 @@ func TestIncrementalDeterminismLarge(t *testing.T) {
 							workers, len(got.Rounds), len(ref.Rounds))
 					}
 				}
-				// The SequentialCommit escape hatch must be a pure
-				// no-op on the result: same bytes whether the commit
-				// stage is conflict-gated parallel or the reference pass.
-				seq := MinimizeMC(n.build(), Options{Workers: 4, Cost: m.model, DB: ref.DB, SequentialCommit: true})
-				if seq.Err != nil {
-					t.Fatal(seq.Err)
-				}
-				if !bytes.Equal(bristol(t, seq.Network), refB) {
-					t.Errorf("workers=4 SequentialCommit: network differs from reference")
-				}
 			})
 		}
+	}
+}
+
+// sharedLeafAdders builds n disjoint full-adder cones that all share one
+// carry-in PI: every cone rewrites (3 ANDs → 1), the MFFCs are disjoint,
+// and the cones overlap only in the shared leaf.
+func sharedLeafAdders(n int) *xag.Network {
+	net := xag.New()
+	cin := net.AddPI("cin")
+	for i := 0; i < n; i++ {
+		a, b := net.AddPI(""), net.AddPI("")
+		ab := net.Xor(a, b)
+		net.AddPO(net.Xor(ab, cin), "")
+		net.AddPO(net.Or(net.And(a, b), net.And(cin, ab)), "")
+	}
+	return net
+}
+
+// disjointAdders is sharedLeafAdders without the sharing: fully independent
+// cones, each rooted at a primary output.
+func disjointAdders(n int) *xag.Network {
+	net := xag.New()
+	for i := 0; i < n; i++ {
+		a, b, cin := net.AddPI(""), net.AddPI(""), net.AddPI("")
+		ab := net.Xor(a, b)
+		net.AddPO(net.Xor(ab, cin), "")
+		net.AddPO(net.Or(net.And(a, b), net.And(cin, ab)), "")
+	}
+	return net
+}
+
+// TestWorkersDeterminism pins the committed bytes across worker counts on
+// commit-stage shapes: rewrites whose cones share a leaf, independent
+// PO-rooted rewrites, a carry chain where each commit reshapes the next
+// node's cone, and the per-round rewrite budget. Enumeration and
+// classification run on 4 workers; the commit pass must land the same
+// rewrites in the same order as a single-worker run.
+func TestWorkersDeterminism(t *testing.T) {
+	cases := []struct {
+		name   string
+		build  func() *xag.Network
+		opts   Options
+		budget int // max replacements per round; 0 = unchecked
+	}{
+		{"shared-leaf", func() *xag.Network { return sharedLeafAdders(24) }, Options{}, 0},
+		{"disjoint-po-roots", func() *xag.Network { return disjointAdders(24) }, Options{}, 0},
+		{"carry-chain", func() *xag.Network { return rippleAdder(32) }, Options{}, 0},
+		{"budget", func() *xag.Network { return rippleAdder(32) }, Options{MaxRewritesPerRound: 5, MaxRounds: 2}, 5},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out [][]byte
+			for _, workers := range []int{1, 4} {
+				opts := tc.opts
+				opts.Workers = workers
+				res := MinimizeMC(tc.build(), opts)
+				if res.Err != nil {
+					t.Fatal(res.Err)
+				}
+				if res.Final().And >= res.Initial().And {
+					t.Errorf("workers=%d: no optimization happened: %d → %d ANDs",
+						workers, res.Initial().And, res.Final().And)
+				}
+				for i, r := range res.Rounds {
+					if tc.budget > 0 && r.Replacements > tc.budget {
+						t.Errorf("workers=%d round %d: %d replacements, budget %d",
+							workers, i+1, r.Replacements, tc.budget)
+					}
+				}
+				out = append(out, bristol(t, res.Network))
+			}
+			if !bytes.Equal(out[0], out[1]) {
+				t.Fatalf("workers=4 output differs from workers=1")
+			}
+		})
 	}
 }

@@ -32,16 +32,11 @@ import (
 //     UseIncomplete is set), fetch the representative circuit from the
 //     shared database — the expensive, embarrassingly parallel part. No
 //     worker touches the network; each writes only its own result slots.
-//  3. commit: an id-order pass re-validates every candidate's gain against
-//     the evolving network (MFFC, leaf liveness), applies the winners, and
-//     runs the always-on per-replacement truth-table check. With Workers >
-//     1 the pass is conflict-gated (parcommit.go): a parallel predictor
-//     evaluates every node against the round-start network and records its
-//     read footprint, a partitioner colors the predicted rewrites into
-//     non-overlapping batches for the metrics, and the id-order scan then
-//     skips exactly the nodes proven untouched by earlier commits,
-//     re-running everything else — so the committed network is byte-for-
-//     byte the sequential result.
+//  3. commit: one sequential id-order pass re-validates every candidate's
+//     gain against the evolving network (MFFC, leaf liveness), applies the
+//     winners, and runs the always-on per-replacement truth-table check.
+//     Each commit changes what the next node sees, so this stage runs on
+//     the engine goroutine for every worker count (DESIGN.md §14).
 //
 // Because stage 2 computes pure per-cut facts (deterministic classification
 // and synthesis results keyed by truth table) and stage 3 commits in
@@ -57,22 +52,20 @@ type Engine struct {
 
 	logMu sync.Mutex // serializes Options.Logf calls from workers
 
-	// Scratch for the engine-goroutine side of the commit stage; the
-	// parallel commit predictor gives each worker its own commitScratch.
+	// Scratch for the commit stage, which runs on the engine goroutine.
 	sc commitScratch
 
 	guardAudit *guardAudit // nil outside tests; see feedsRoot
 }
 
 // commitScratch bundles the reusable buffers of candidate re-validation —
-// MFFC cone buffers, a leaf-id buffer, TFI-walk stamps, and a region
-// staging slice — so evaluating a node's candidates allocates nothing. A
-// commitScratch belongs to one goroutine.
+// MFFC cone buffers, a leaf-id buffer and TFI-walk stamps — so evaluating a
+// node's candidates allocates nothing. A commitScratch belongs to one
+// goroutine.
 type commitScratch struct {
-	cone      xag.ConeScratch
-	leafBuf   []int
-	tfi       xag.TFIScratch
-	regionTmp []int32
+	cone    xag.ConeScratch
+	leafBuf []int
+	tfi     xag.TFIScratch
 }
 
 // NewEngine returns an engine over db (one is created when nil) with the
@@ -261,11 +254,7 @@ func (e *Engine) round(ctx context.Context, net *xag.Network, deg *Degradation, 
 	net.BeginDirtyEpoch()
 	stageStart = time.Now()
 	pprof.Do(ctx, pprof.Labels("stage", "commit"), func(ctx context.Context) {
-		if e.parCommitEligible(order) {
-			err = e.commitStageParallel(ctx, net, order, cuts, prep, &stats, deg)
-		} else {
-			err = e.commitStage(ctx, net, order, cuts, prep, &stats, deg)
-		}
+		err = e.commitStage(ctx, net, order, cuts, prep, &stats, deg)
 	})
 	stats.CommitTime = time.Since(stageStart)
 	return finish(err)
@@ -496,9 +485,8 @@ func (e *Engine) prepareNode(id int, cuts []cut.Cut, memo *prepMemo, localPrep m
 }
 
 // commitStage runs stage 3: the deterministic sequential pass that turns
-// candidates into substitutions. It mirrors the original single-threaded
-// algorithm exactly — same node order, same gain formula, same tie-breaks,
-// same guards — so the result is bit-identical to a sequential run.
+// candidates into substitutions in node-id order, so the result does not
+// depend on how many workers enumerated and classified.
 func (e *Engine) commitStage(ctx context.Context, net *xag.Network, order []int, cuts *cut.Set, prep [][]prepared, stats *RoundStats, deg *Degradation) error {
 	for step, id := range order {
 		if step%ctxCheckStride == 0 {
@@ -547,29 +535,18 @@ func (e *Engine) commitNodeProtected(net *xag.Network, id int, cuts []cut.Cut, p
 // Algorithm 1), and applies it. It reports whether the node was
 // substituted.
 func (e *Engine) commitNode(net *xag.Network, id int, cuts []cut.Cut, prep []prepared, stats *RoundStats, deg *Degradation) bool {
-	best := e.bestReplacement(net, id, cuts, prep, &e.sc, nil)
+	best := e.bestReplacement(net, id, cuts, prep)
 	return e.applyReplacement(net, id, best, stats, deg)
 }
 
 // bestReplacement re-validates the node's prepared candidates against the
 // current network state and picks the most profitable one, or nil when no
-// candidate survives re-validation. It is a pure read of the network plus
-// scratch reuse — no substitution, logging, or counter update happens here,
-// which is what lets the parallel commit predictor run it speculatively.
-//
-// When rec is non-nil, every node id whose refs/repl state the evaluation
-// reads (or may read — dead leaves cut the scan short, so the full leaf
-// sets are a superset) is recorded: the node itself, each candidate's cut
-// leaves, and the MFFC interior plus fanout boundary of live candidates.
-// That set is the read footprint of the parallel commit's conflict check
-// and must stay complete; see DESIGN.md §14 before touching what the loop
-// reads.
-func (e *Engine) bestReplacement(net *xag.Network, id int, cuts []cut.Cut, prep []prepared, sc *commitScratch, rec *regionRec) *replacement {
+// candidate survives re-validation. It reads the network and reuses the
+// engine's commit scratch; substitution happens in applyReplacement.
+func (e *Engine) bestReplacement(net *xag.Network, id int, cuts []cut.Cut, prep []prepared) *replacement {
+	sc := &e.sc
 	model := e.opts.Cost
 	needsDepth := model.NeedsDepth()
-	if rec != nil {
-		rec.add(id)
-	}
 	var best *replacement
 	consider := func(r *replacement) {
 		if best == nil || r.gain > best.gain ||
@@ -587,9 +564,6 @@ func (e *Engine) bestReplacement(net *xag.Network, id int, cuts []cut.Cut, prep 
 		live := true
 		for i := 0; i < c.Size(); i++ {
 			leaf := c.Leaf(i)
-			if rec != nil {
-				rec.add(leaf)
-			}
 			if net.Resolve(xag.MakeLit(leaf, false)).Node() != leaf {
 				live = false
 				break
@@ -606,15 +580,7 @@ func (e *Engine) bestReplacement(net *xag.Network, id int, cuts []cut.Cut, prep 
 		// Re-validated cost of the cone the replacement would retire, against
 		// the evolving network; models that don't need depth never pay for it.
 		sc.leafBuf = c.AppendLeaves(sc.leafBuf[:0])
-		var oldAnds, oldXors int
-		if rec != nil {
-			oldAnds, oldXors, sc.regionTmp = net.MFFCRegionScratch(id, sc.leafBuf, &sc.cone, sc.regionTmp[:0])
-			for _, t := range sc.regionTmp {
-				rec.add(int(t))
-			}
-		} else {
-			oldAnds, oldXors = net.MFFCScratch(id, sc.leafBuf, &sc.cone)
-		}
+		oldAnds, oldXors := net.MFFCScratch(id, sc.leafBuf, &sc.cone)
 		old := cost.Costs{Ands: oldAnds, Xors: oldXors}
 		if needsDepth {
 			old.Depth = net.AndDepth(id)
@@ -659,8 +625,7 @@ func (e *Engine) bestReplacement(net *xag.Network, id int, cuts []cut.Cut, prep 
 // was substituted. Realization happens even when the cone-escape, feedback
 // or truth-table check then rejects the candidate — the dangling nodes it
 // creates die in the end-of-round Cleanup but are observable within the
-// round, which is why the parallel commit re-runs (never replays) every
-// node whose footprint a prior commit touched.
+// round.
 //
 // The checks run in that order: the two structural rejections are counted
 // in RoundStats only, so only a candidate that passes both reaches the

@@ -21,11 +21,6 @@ type engineMetrics struct {
 	recoveredPanics  *metrics.Counter
 	rolledBackRounds *metrics.Counter
 
-	commitBatches   *metrics.Counter
-	commitConflicts *metrics.Counter
-	commitSkips     *metrics.Counter
-	commitBatchSize *metrics.Histogram
-
 	coneEscapes    *metrics.Counter
 	cycleRejects   *metrics.Counter
 	guardFallbacks *metrics.Counter
@@ -50,11 +45,6 @@ func newEngineMetrics(r *metrics.Registry) engineMetrics {
 		recoveredPanics:  r.Counter("mcc_recovered_panics_total", "Per-node panics recovered during rewriting."),
 		rolledBackRounds: r.Counter("mcc_rolled_back_rounds_total", "Rounds rolled back by the end-of-round verification miter."),
 
-		commitBatches:   r.Counter("mcc_commit_batches_total", "Conflict-free batches the parallel commit partitioner formed from predicted rewrites."),
-		commitConflicts: r.Counter("mcc_commit_conflicts_total", "Commit-stage nodes re-evaluated because an earlier commit wrote into their read footprint."),
-		commitSkips:     r.Counter("mcc_commit_parallel_skips_total", "Commit-stage nodes finalized by the parallel predictor's clean-footprint proof without re-evaluation."),
-		commitBatchSize: r.Histogram("mcc_commit_batch_size", "Predicted rewrites per conflict-free commit batch.", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}),
-
 		coneEscapes:    r.Counter("mcc_cone_escapes_total", "Realized replacements dropped because their cone escaped the cut leaves."),
 		cycleRejects:   r.Counter("mcc_cycle_rejects_total", "Realized replacements dropped by the cycle guard because they would feed their own root."),
 		guardFallbacks: r.Counter("mcc_cycle_guard_fallbacks_total", "Cycle-guard queries answered by the full transitive-fanin walk instead of the cut's cone."),
@@ -68,22 +58,9 @@ func (m *engineMetrics) observeRound(stats RoundStats) {
 	if d := stats.Before.And - stats.After.And; d > 0 {
 		m.andsRemoved.Add(int64(d))
 	}
-	m.commitBatches.Add(int64(stats.CommitBatches))
-	m.commitConflicts.Add(int64(stats.CommitConflicts))
-	m.commitSkips.Add(int64(stats.CommitSkipped))
 	m.coneEscapes.Add(int64(stats.ConeEscapes))
 	m.cycleRejects.Add(int64(stats.CycleRejects))
 	m.guardFallbacks.Add(int64(stats.GuardFallbacks))
-}
-
-// observeCommitPartition records the batch-size distribution of one
-// parallel-commit partition.
-func (m *engineMetrics) observeCommitPartition(sizes []int) {
-	for _, s := range sizes {
-		if s > 0 {
-			m.commitBatchSize.Observe(float64(s))
-		}
-	}
 }
 
 // observeDegradation records the degradation delta of a run (or of one

@@ -16,7 +16,8 @@ import (
 // Content addressing for requests. The cache key covers exactly what can
 // change the result bytes: the canonical network structure
 // (xag.CanonicalHash) and every result-affecting effective option. Two
-// options are deliberately excluded:
+// options are deliberately excluded, and the retired sequential_commit
+// option is ignored altogether:
 //
 //   - workers: the engine's output is byte-identical across worker counts
 //     (pinned since PR 2 and re-pinned by the golden suite), so parallelism
@@ -52,13 +53,6 @@ func cacheKey(net *xag.Network, o RequestOptions) rescache.Key {
 	}
 	if o.Incremental == nil || *o.Incremental {
 		flags |= 4
-	}
-	// sequential_commit is deliberately part of the key even though both
-	// arms produce byte-identical networks: the option exists to bisect
-	// suspected determinism bugs, and serving its result from the other
-	// arm's cache entry would make the comparison vacuous.
-	if o.SequentialCommit {
-		flags |= 8
 	}
 	b[5] = flags
 	b[6] = 0 // reserved
@@ -118,16 +112,24 @@ func renderJSONBody(res *rescache.Result, wantNetJSON bool) []byte {
 	return buf.Bytes()
 }
 
+// markDeprecated tags the response to a request that used a deprecated
+// form — query-string options or the retired sequential_commit option —
+// and logs one notice per process.
+func (s *Server) markDeprecated(w http.ResponseWriter, dr *decodedRequest) {
+	if !dr.deprecated {
+		return
+	}
+	w.Header().Set("Deprecation", "true")
+	s.deprecationOnce.Do(func() {
+		s.logf("server: request uses a deprecated form (query-string options or sequential_commit); see API.md")
+	})
+}
+
 // writeOptimizeResponse writes the 200 response for one result, honoring
 // the caller's Accept preference and tagging cache provenance.
 func (s *Server) writeOptimizeResponse(w http.ResponseWriter, r *http.Request, res *rescache.Result, dr *decodedRequest, out rescache.Outcome) {
 	w.Header().Set("X-MC-Cache", out.String())
-	if dr.deprecated {
-		w.Header().Set("Deprecation", "true")
-		s.deprecationOnce.Do(func() {
-			s.logf("server: query-string options are deprecated; send a JSON envelope (see API.md)")
-		})
-	}
+	s.markDeprecated(w, dr)
 	s.met.requests.With("200").Inc()
 
 	if accept := r.Header.Get("Accept"); len(accept) >= 10 && accept[:10] == "text/plain" {

@@ -107,6 +107,57 @@ func TestCacheKeyRespectsOptions(t *testing.T) {
 	}
 }
 
+// TestSequentialCommitDeprecated pins the retirement of the
+// sequential_commit option: it is accepted and ignored, the response says
+// so with "Deprecation: true", and the option is not part of the cache key,
+// so a request without it is a hit on the same bytes.
+func TestSequentialCommitDeprecated(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	circuit := benchBristol(t, "decoder")
+
+	resp1, body1 := postJSON(t, ts, "/v1/optimize", map[string]any{
+		"bristol": circuit,
+		"options": map[string]any{"sequential_commit": true},
+	})
+	if resp1.StatusCode != http.StatusOK {
+		t.Fatalf("sequential_commit request: %d: %s", resp1.StatusCode, body1)
+	}
+	if got := resp1.Header.Get("Deprecation"); got != "true" {
+		t.Errorf("sequential_commit request: Deprecation = %q, want true", got)
+	}
+
+	resp2, body2 := postJSON(t, ts, "/v1/optimize", OptimizeRequest{Bristol: circuit})
+	if resp2.StatusCode != http.StatusOK {
+		t.Fatalf("plain request: %d: %s", resp2.StatusCode, body2)
+	}
+	if got := resp2.Header.Get("X-MC-Cache"); got != "hit" {
+		t.Errorf("plain request X-MC-Cache = %q, want hit", got)
+	}
+	if got := resp2.Header.Get("Deprecation"); got != "" {
+		t.Errorf("plain envelope request carries Deprecation = %q", got)
+	}
+	if !bytes.Equal(body1, body2) {
+		t.Fatalf("sequential_commit changed the response:\n%s\nvs\n%s", body1, body2)
+	}
+
+	// A job submission that sets it is tagged the same way.
+	respJ, bodyJ := postJSON(t, ts, "/v1/jobs", map[string]any{
+		"bristol": circuit,
+		"options": map[string]any{"sequential_commit": true},
+	})
+	if respJ.StatusCode != http.StatusAccepted {
+		t.Fatalf("job submit: %d: %s", respJ.StatusCode, bodyJ)
+	}
+	if got := respJ.Header.Get("Deprecation"); got != "true" {
+		t.Errorf("job submit: Deprecation = %q, want true", got)
+	}
+	var sub JobResponse
+	if err := json.Unmarshal(bodyJ, &sub); err != nil {
+		t.Fatal(err)
+	}
+	pollJob(t, ts, sub.Job.ID, JobDone)
+}
+
 // TestCacheDisabled proves CacheEntries < 0 switches the cache off: every
 // request computes and reports a miss.
 func TestCacheDisabled(t *testing.T) {

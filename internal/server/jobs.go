@@ -213,6 +213,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	go s.runJob(ctx, j, dr)
 
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
+	s.markDeprecated(w, dr)
 	w.Header().Set("Content-Type", "application/json")
 	s.met.requests.With("202").Inc()
 	w.WriteHeader(http.StatusAccepted)

@@ -20,7 +20,8 @@ import (
 // rejected with CodeUnknownField rather than ignored. The query-parameter
 // form survives for existing raw-Bristol callers but is deprecated: it
 // tags the response with a "Deprecation: true" header and logs one line
-// per process.
+// per process. The retired sequential_commit option is treated the same
+// way: accepted, ignored, and tagged.
 
 // decodedRequest is one fully-decoded, validated unit of optimization work.
 type decodedRequest struct {
@@ -30,7 +31,8 @@ type decodedRequest struct {
 	// wantNetJSON: the caller sent a JSON gate list, so the response should
 	// carry one too.
 	wantNetJSON bool
-	// deprecated: options arrived in the query string.
+	// deprecated: options arrived in the query string, or the request set
+	// the retired sequential_commit option.
 	deprecated bool
 }
 
@@ -117,6 +119,9 @@ func (dr *decodedRequest) finish(cfg Config) *apiError {
 	case o.DeadlineMS < 0:
 		return errf(http.StatusBadRequest, CodeInvalidOption, "deadline_ms", "deadline must not be negative, got %dms", o.DeadlineMS)
 	}
+	if o.SequentialCommit {
+		dr.deprecated = true
+	}
 	if o.Workers == 0 {
 		o.Workers = 1
 	}
@@ -155,6 +160,9 @@ var queryParams = map[string]func(o *RequestOptions, v string) error{
 			return err
 		}
 		o.DeadlineMS = int(d / time.Millisecond)
+		if o.DeadlineMS == 0 && d > 0 {
+			o.DeadlineMS = 1 // sub-millisecond, not unset: round up
+		}
 		return nil
 	},
 }

@@ -377,10 +377,10 @@ type RequestOptions struct {
 	Incremental *bool  `json:"incremental,omitempty"` // default true
 	DeadlineMS  int    `json:"deadline_ms,omitempty"` // capped by Config.MaxDeadline
 
-	// SequentialCommit forces the commit stage onto the single-threaded
-	// reference pass. The optimized network is byte-identical either way;
-	// the option exists for bisecting suspected determinism bugs against
-	// live traffic (see API.md).
+	// SequentialCommit is the retired sequential_commit option (query form
+	// seq-commit). The engine has a single sequential commit pass, so the
+	// option is accepted and ignored; a request that sets it is answered
+	// with "Deprecation: true" (API.md, "Deprecation policy").
 	SequentialCommit bool `json:"sequential_commit,omitempty"`
 }
 
@@ -564,7 +564,6 @@ func (s *Server) computeResult(ctx context.Context, dr *decodedRequest, preAdmit
 		mcc.WithMaxRounds(opts.MaxRounds),
 		mcc.WithVerify(opts.Verify),
 		mcc.WithZeroGain(opts.ZeroGain),
-		mcc.WithSequentialCommit(opts.SequentialCommit),
 	}
 	if opts.CutSize != 0 {
 		mopts = append(mopts, mcc.WithCutSize(opts.CutSize))

@@ -245,7 +245,11 @@ func TestOptimizeJSONNetwork(t *testing.T) {
 }
 
 func TestOptimizeBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, func(c *Config) { c.MaxPayloadBytes = 512 })
+	s, ts := newTestServer(t, func(c *Config) { c.MaxPayloadBytes = 512 })
+	// Only the sub-millisecond deadline case reaches the engine. The pause
+	// outlasts a 1 ms deadline, so that case must time out rather than
+	// complete under the 30 s default.
+	s.beforeOptimize = func() { time.Sleep(20 * time.Millisecond) }
 	valid := "2 5\n3 1 1 1\n1 1\n\n2 1 0 1 3 AND\n2 1 3 2 4 XOR\n"
 
 	cases := []struct {
@@ -259,6 +263,7 @@ func TestOptimizeBadRequests(t *testing.T) {
 		{"bad rounds", valid, "?rounds=-1", nil, http.StatusBadRequest, CodeInvalidOption},
 		{"bad cut size", valid, "?k=9", nil, http.StatusBadRequest, CodeInvalidOption},
 		{"bad deadline", valid, "?deadline=soon", nil, http.StatusBadRequest, CodeInvalidOption},
+		{"sub-millisecond deadline", valid, "?deadline=500us", nil, http.StatusGatewayTimeout, CodeDeadlineExceeded},
 		{"bad boolean", valid, "?verify=perhaps", nil, http.StatusBadRequest, CodeInvalidOption},
 		{"unknown query param", valid, "?turbo=1", nil, http.StatusBadRequest, CodeUnknownField},
 		{"json without network", `{"options": {}}`, "", map[string]string{"Content-Type": "application/json"}, http.StatusBadRequest, CodeInvalidRequest},
