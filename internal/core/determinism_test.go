@@ -89,22 +89,28 @@ func disjointAdders(n int) *xag.Network {
 }
 
 // TestWorkersDeterminism pins the committed bytes across worker counts on
-// commit-stage shapes: rewrites whose cones share a leaf, independent
-// PO-rooted rewrites, a carry chain where each commit reshapes the next
-// node's cone, and the per-round rewrite budget. Enumeration and
-// classification run on 4 workers; the commit pass must land the same
-// rewrites in the same order as a single-worker run.
+// commit-stage shapes: rewrites whose cones share a leaf, independent cones
+// that must run to convergence, rewrites rooted at primary-output gates, a
+// carry chain where each commit reshapes the next node's cone, and the
+// per-round rewrite budget. Enumeration and classification run on 4
+// workers; the commit pass must land the same rewrites in the same order as
+// a single-worker run.
 func TestWorkersDeterminism(t *testing.T) {
 	cases := []struct {
-		name   string
-		build  func() *xag.Network
-		opts   Options
-		budget int // max replacements per round; 0 = unchecked
+		name     string
+		build    func() *xag.Network
+		opts     Options
+		budget   int  // max replacements per round; 0 = unchecked
+		converge bool // the run must stop on a round that improves nothing
 	}{
-		{"shared-leaf", func() *xag.Network { return sharedLeafAdders(24) }, Options{}, 0},
-		{"disjoint-po-roots", func() *xag.Network { return disjointAdders(24) }, Options{}, 0},
-		{"carry-chain", func() *xag.Network { return rippleAdder(32) }, Options{}, 0},
-		{"budget", func() *xag.Network { return rippleAdder(32) }, Options{MaxRewritesPerRound: 5, MaxRounds: 2}, 5},
+		{"shared-leaf", func() *xag.Network { return sharedLeafAdders(24) }, Options{}, 0, false},
+		{"disjoint-cones", func() *xag.Network { return disjointAdders(24) }, Options{}, 0, true},
+		// The cout cones root at PO-referenced OR gates; their rewrite is
+		// what removes ANDs, so the shrinking AND count proves PO-rooted
+		// commits ran.
+		{"po-root", func() *xag.Network { return disjointAdders(24) }, Options{MaxRounds: 1}, 0, false},
+		{"carry-chain", func() *xag.Network { return rippleAdder(32) }, Options{}, 0, false},
+		{"budget", func() *xag.Network { return rippleAdder(32) }, Options{MaxRewritesPerRound: 5, MaxRounds: 2}, 5, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -119,6 +125,10 @@ func TestWorkersDeterminism(t *testing.T) {
 				if res.Final().And >= res.Initial().And {
 					t.Errorf("workers=%d: no optimization happened: %d → %d ANDs",
 						workers, res.Initial().And, res.Final().And)
+				}
+				if tc.converge && !res.Converged {
+					t.Errorf("workers=%d: stopped after %d rounds without converging",
+						workers, len(res.Rounds))
 				}
 				for i, r := range res.Rounds {
 					if tc.budget > 0 && r.Replacements > tc.budget {
