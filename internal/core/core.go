@@ -66,11 +66,6 @@ type Options struct {
 	// limit. The paper omits such functions; defaults to false.
 	UseIncomplete bool
 
-	// VerifyRewrites is retained for compatibility; the per-replacement
-	// truth-table check it used to enable is now always on (mismatches are
-	// rejected and counted in Result.Degraded rather than committed).
-	VerifyRewrites bool
-
 	// Verify runs an end-of-round equivalence miter (exhaustive for narrow
 	// interfaces, 64-bit-parallel random simulation otherwise) against a
 	// snapshot of the input network. A failing round is rolled back and the

@@ -167,23 +167,15 @@ func (s *Set) For(id int) []Cut {
 // not mutate slots while the Set is in use.
 func NewSetFrom(slots [][]Cut) *Set { return &Set{byID: slots} }
 
-// RenumberLeaves remaps the leaf ids of every cut in cs in place through
-// newID and recomputes the bloom signatures. newID must be strictly
-// monotone on the ids present: leaf order — and with it the meaning of each
-// truth-table variable — is preserved, so the tables need no rewriting.
-func RenumberLeaves(cs []Cut, newID func(int) int) {
-	TransformLeaves(cs, func(id int) (int, bool) { return newID(id), false }, false)
-}
-
-// TransformLeaves is RenumberLeaves with polarity: img maps a leaf id to its
-// new id plus whether the new node computes the leaf's complement, and
-// rootCompl reports the same for the cut root. Tables are rewritten to stay
-// correct over the new leaves: variable j is flipped when leaf j's image is
-// complemented, and the whole table is complemented when rootCompl — so each
-// transformed table is the new root's function over the new leaves. (For a
-// trivial cut the two flips cancel, keeping it canonical.) As with
-// RenumberLeaves, img must be strictly monotone on the ids present for the
-// lists to stay sorted.
+// TransformLeaves remaps the leaf ids of every cut in cs in place and
+// recomputes the bloom signatures: img maps a leaf id to its new id plus
+// whether the new node computes the leaf's complement, and rootCompl reports
+// the same for the cut root. Tables are rewritten to stay correct over the
+// new leaves: variable j is flipped when leaf j's image is complemented, and
+// the whole table is complemented when rootCompl — so each transformed table
+// is the new root's function over the new leaves. (For a trivial cut the two
+// flips cancel, keeping it canonical.) img must be strictly monotone on the
+// ids present for the lists to stay sorted.
 func TransformLeaves(cs []Cut, img func(int) (int, bool), rootCompl bool) {
 	for i := range cs {
 		c := &cs[i]
@@ -206,7 +198,7 @@ func TransformLeaves(cs []Cut, img func(int) (int, bool), rootCompl bool) {
 // network must be compact (no pending substitutions), which holds for
 // freshly built or Cleanup'ed networks.
 func Enumerate(n *xag.Network, p Params) *Set {
-	s, _ := EnumerateContext(context.Background(), n, p)
+	s, _, _, _ := EnumerateIncremental(context.Background(), n, p, 1, nil)
 	return s
 }
 
@@ -282,42 +274,6 @@ func nodeCuts(n *xag.Network, id int, byID [][]Cut, p Params, sc *scratch) []Cut
 	return prune(cand, p, id, sc)
 }
 
-// EnumerateContext is Enumerate with cancellation: it checks ctx
-// periodically and returns ctx's error (and a nil set) if the deadline
-// expires or the context is canceled mid-enumeration.
-func EnumerateContext(ctx context.Context, n *xag.Network, p Params) (*Set, error) {
-	s, _, err := EnumerateReuse(ctx, n, p, 1, nil)
-	return s, err
-}
-
-// EnumerateParallel enumerates cuts with a bounded worker pool. Nodes are
-// processed level by level (a gate's level is one past its deepest fanin),
-// so every worker only reads cut lists of strictly lower levels — finished
-// before its level started — and writes its own node's slot. The result is
-// identical to EnumerateContext for any worker count: each node's cut list
-// is a pure function of its fanin cut lists.
-func EnumerateParallel(ctx context.Context, n *xag.Network, p Params, workers int) (*Set, error) {
-	s, _, err := EnumerateReuse(ctx, n, p, workers, nil)
-	return s, err
-}
-
-// EnumerateReuse is EnumerateParallel with trusted cross-round reuse:
-// non-nil slots of seed are adopted verbatim and only the remaining live
-// nodes are enumerated. The caller guarantees every seeded slot equals what
-// a fresh enumeration would compute for that node — under that contract the
-// result is bit-identical to a full enumeration for any worker count. The
-// second result is the number of gates actually enumerated. A nil seed
-// enumerates everything. Callers that cannot prove their seeds valid should
-// use EnumerateIncremental, which validates them.
-func EnumerateReuse(ctx context.Context, n *xag.Network, p Params, workers int, seed *Set) (*Set, int, error) {
-	var seedSlots [][]Cut
-	if seed != nil {
-		seedSlots = seed.byID
-	}
-	res, _, computed, err := enumerateSeeded(ctx, n, p, workers, seedSlots, nil, true)
-	return res, computed, err
-}
-
 // Seed is the input of EnumerateIncremental: the previous round's cut lists
 // renumbered into the current network's node ids, plus the per-node leaf
 // validity computed by the caller.
@@ -331,33 +287,6 @@ type Seed struct {
 	// against every other potential leaf, and — for ranked enumerations —
 	// its Params.Rank contribution (e.g. its depth) is unchanged.
 	LeafOK []bool
-}
-
-// EnumerateIncremental enumerates cuts with validated cross-round reuse and
-// change-propagation early termination. A gate adopts its seed list without
-// re-merging when that is provably identical to recomputing it: neither
-// fanin's list changed this round and every candidate leaf (every leaf of
-// both fanin lists) passes seed.LeafOK — fanin lists equal plus
-// order-preserved tie-breaks and unchanged ranks force prune to reproduce
-// the seed exactly. Other gates are re-merged and compared against their
-// seed, so an unchanged result still stops the invalidation wave here
-// instead of sweeping the whole fanout cone.
-//
-// Returns the cut set, a per-node changed flag (true when the node's final
-// list is not known to equal its seed — always true for unseeded gates), and
-// the number of gates actually re-merged. The set is bit-identical to a full
-// enumeration for any worker count and any seed contents: invalid seeds cost
-// recomputation, never wrong cuts.
-func EnumerateIncremental(ctx context.Context, n *xag.Network, p Params, workers int, seed *Seed) (*Set, []bool, int, error) {
-	var seedSlots [][]Cut
-	var leafOK []bool
-	if seed != nil {
-		if seed.Cuts != nil {
-			seedSlots = seed.Cuts.byID
-		}
-		leafOK = seed.LeafOK
-	}
-	return enumerateSeeded(ctx, n, p, workers, seedSlots, leafOK, false)
 }
 
 // equalCuts reports whether two cut lists are identical (same cuts, same
@@ -395,35 +324,52 @@ func seedReusable(res *Set, changed, leafOK []bool, f0, f1 int) bool {
 	return true
 }
 
-// enumerateSeeded is the shared engine of EnumerateReuse (trust=true: adopt
-// seeds verbatim) and EnumerateIncremental (trust=false: validate seeds,
-// track changes). The returned changed slice is nil in trusted mode.
-func enumerateSeeded(ctx context.Context, n *xag.Network, p Params, workers int, seedSlots [][]Cut, leafOK []bool, trust bool) (*Set, []bool, int, error) {
+// EnumerateIncremental enumerates cuts with validated cross-round reuse and
+// change-propagation early termination. A gate adopts its seed list without
+// re-merging when that is provably identical to recomputing it: neither
+// fanin's list changed this round and every candidate leaf (every leaf of
+// both fanin lists) passes seed.LeafOK — fanin lists equal plus
+// order-preserved tie-breaks and unchanged ranks force prune to reproduce
+// the seed exactly. Other gates are re-merged and compared against their
+// seed, so an unchanged result still stops the invalidation wave here
+// instead of sweeping the whole fanout cone. A nil seed enumerates every
+// gate; the engine's first round and Enumerate both take that path.
+//
+// With workers > 1, gates are processed level by level (a gate's level is
+// one past its deepest fanin), so every worker only reads cut lists and
+// changed flags of strictly lower levels — finished before its level
+// started — and writes its own node's slot. ctx is checked periodically;
+// on cancellation the set is nil and the error is ctx's.
+//
+// Returns the cut set, a per-node changed flag (true when the node's final
+// list is not known to equal its seed — always true for unseeded gates), and
+// the number of gates actually re-merged. The set is bit-identical to a full
+// enumeration for any worker count and any seed contents: invalid seeds cost
+// recomputation, never wrong cuts.
+func EnumerateIncremental(ctx context.Context, n *xag.Network, p Params, workers int, seed *Seed) (*Set, []bool, int, error) {
+	var seedSlots [][]Cut
+	var leafOK []bool
+	if seed != nil {
+		if seed.Cuts != nil {
+			seedSlots = seed.Cuts.byID
+		}
+		leafOK = seed.LeafOK
+	}
 	p = p.withDefaults()
 	numNodes := n.NumNodes()
 	res := &Set{byID: make([][]Cut, numNodes)}
-	seedFor := func(id int) []Cut {
-		if id < len(seedSlots) {
-			return seedSlots[id]
-		}
-		return nil
-	}
-	var changed []bool
-	if !trust {
-		changed = make([]bool, numNodes)
-	}
+	changed := make([]bool, numNodes)
 	var computed int64
 
-	// visit handles one gate: adopt the seed when allowed, else re-merge
-	// (and, in incremental mode, compare against the seed so an unchanged
-	// list does not invalidate its fanouts).
+	// visit handles one gate: adopt the seed when allowed, else re-merge and
+	// compare against the seed so an unchanged list does not invalidate its
+	// fanouts.
 	visit := func(id int, sc *scratch) {
-		s := seedFor(id)
+		var s []Cut
+		if id < len(seedSlots) {
+			s = seedSlots[id]
+		}
 		if s != nil {
-			if trust {
-				res.byID[id] = s
-				return
-			}
 			f0, f1 := n.Fanins(id)
 			if seedReusable(res, changed, leafOK, f0.Node(), f1.Node()) {
 				res.byID[id] = s
@@ -433,9 +379,7 @@ func enumerateSeeded(ctx context.Context, n *xag.Network, p Params, workers int,
 		cs := nodeCuts(n, id, res.byID, p, sc)
 		res.byID[id] = cs
 		atomic.AddInt64(&computed, 1)
-		if !trust {
-			changed[id] = !equalCuts(cs, s)
-		}
+		changed[id] = !equalCuts(cs, s)
 	}
 
 	if workers <= 1 {
@@ -448,10 +392,6 @@ func enumerateSeeded(ctx context.Context, n *xag.Network, p Params, workers int,
 				}
 			}
 			if !n.IsGate(id) {
-				if trust && res.byID[id] == nil && seedFor(id) != nil {
-					res.byID[id] = seedFor(id)
-					continue
-				}
 				res.byID[id] = []Cut{trivial(id)}
 				continue
 			}
@@ -460,30 +400,20 @@ func enumerateSeeded(ctx context.Context, n *xag.Network, p Params, workers int,
 		return res, changed, int(computed), nil
 	}
 
-	// Group the gates to process by level; PIs (and other non-gates) get
-	// their trivial cut immediately and anchor level 0. In trusted mode
-	// seeded gates carry a level — their fanouts' levels depend on it — but
-	// no work item; in incremental mode every gate is visited (the reuse
+	// Group the gates by level; PIs (and other non-gates) get their trivial
+	// cut immediately and anchor level 0. Every gate is visited: the reuse
 	// decision needs its fanins' changed flags, final once their level is
-	// done).
+	// done.
 	level := make([]int, numNodes)
 	var byLevel [][]int
 	for _, id := range n.LiveNodes() {
 		if !n.IsGate(id) {
-			if trust && seedFor(id) != nil {
-				res.byID[id] = seedFor(id)
-			} else {
-				res.byID[id] = []Cut{trivial(id)}
-			}
+			res.byID[id] = []Cut{trivial(id)}
 			continue
 		}
 		f0, f1 := n.Fanins(id)
 		l := max(level[f0.Node()], level[f1.Node()]) + 1
 		level[id] = l
-		if trust && seedFor(id) != nil {
-			res.byID[id] = seedFor(id)
-			continue
-		}
 		for len(byLevel) < l {
 			byLevel = append(byLevel, nil)
 		}

@@ -216,16 +216,17 @@ func TestMergeOverflow(t *testing.T) {
 	}
 }
 
-// TestEnumerateParallelMatchesSequential checks that the level-parallel
-// enumeration produces exactly the same cut sets (same order, same tables)
-// as the sequential one, for several worker counts.
-func TestEnumerateParallelMatchesSequential(t *testing.T) {
+// TestEnumerateIncrementalParallelMatchesSequential checks that the level-parallel
+// enumeration the engine runs (EnumerateIncremental with workers > 1)
+// produces exactly the same cut sets (same order, same tables) as the
+// sequential one, for several worker counts.
+func TestEnumerateIncrementalParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 10; trial++ {
 		n := randomNetwork(rng, 8, 200)
 		seq := Enumerate(n, Params{K: 6, Limit: 12})
 		for _, workers := range []int{2, 3, 8} {
-			par, err := EnumerateParallel(context.Background(), n, Params{K: 6, Limit: 12}, workers)
+			par, _, _, err := EnumerateIncremental(context.Background(), n, Params{K: 6, Limit: 12}, workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,12 +242,12 @@ func TestEnumerateParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestEnumerateParallelCancellation(t *testing.T) {
+func TestEnumerateIncrementalCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	n := randomNetwork(rng, 8, 300)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if s, err := EnumerateParallel(ctx, n, Params{}, 4); err == nil || s != nil {
+	if s, _, _, err := EnumerateIncremental(ctx, n, Params{}, 4, nil); err == nil || s != nil {
 		t.Fatalf("canceled enumeration returned s=%v err=%v", s, err)
 	}
 }

@@ -45,66 +45,94 @@ func sameSets(t *testing.T, n *xag.Network, got, want *Set, label string) {
 	}
 }
 
+func countGates(n *xag.Network) int {
+	gates := 0
+	for _, id := range n.LiveNodes() {
+		if n.IsGate(id) {
+			gates++
+		}
+	}
+	return gates
+}
+
 // A nil seed must reproduce the plain enumeration exactly, for any worker
-// count.
-func TestEnumerateReuseNilSeedMatches(t *testing.T) {
+// count, re-merging every gate and flagging each as changed.
+func TestEnumerateIncrementalNilSeedMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 10; trial++ {
 		n := randomReuseNet(rng, 6, 60)
 		want := Enumerate(n, Params{})
 		for _, workers := range []int{1, 2, 8} {
-			got, computed, err := EnumerateReuse(context.Background(), n, Params{}, workers, nil)
+			got, changed, computed, err := EnumerateIncremental(context.Background(), n, Params{}, workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gates := 0
-			for _, id := range n.LiveNodes() {
-				if n.IsGate(id) {
-					gates++
-				}
-			}
-			if computed != gates {
+			if gates := countGates(n); computed != gates {
 				t.Fatalf("workers=%d: computed %d gates, want %d", workers, computed, gates)
+			}
+			for _, id := range n.LiveNodes() {
+				if changed[id] != n.IsGate(id) {
+					t.Fatalf("workers=%d: node %d changed=%v", workers, id, changed[id])
+				}
 			}
 			sameSets(t, n, got, want, "nil seed")
 		}
 	}
 }
 
-// Seeding slots with their true cut lists must change nothing — and the
-// seeded gates must not be re-enumerated.
-func TestEnumerateReuseSeededMatches(t *testing.T) {
+// Seeding slots with their true cut lists must change nothing. With every
+// leaf valid, a seeded gate is adopted without re-merging exactly when
+// neither fanin is an unseeded gate (the only lists that change); without
+// LeafOK no seed is adopted, and the result is still exact.
+func TestEnumerateIncrementalSeededMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 10; trial++ {
 		n := randomReuseNet(rng, 6, 60)
 		want := Enumerate(n, Params{})
-		// Seed a random subset of gate slots (with their fanins' slots, the
-		// contract EnumerateReuse's caller maintains — here trivially valid
-		// since seeds are the exact full-enumeration lists).
 		seedSlots := make([][]Cut, n.NumNodes())
-		seeded := 0
+		leafOK := make([]bool, n.NumNodes())
 		for _, id := range n.LiveNodes() {
+			leafOK[id] = true
 			if n.IsGate(id) && rng.Intn(2) == 0 {
 				seedSlots[id] = want.For(id)
-				seeded++
+			}
+		}
+		fresh := func(id int) bool { return n.IsGate(id) && seedSlots[id] == nil }
+		wantComputed := 0
+		for _, id := range n.LiveNodes() {
+			if !n.IsGate(id) {
+				continue
+			}
+			f0, f1 := n.Fanins(id)
+			if seedSlots[id] == nil || fresh(f0.Node()) || fresh(f1.Node()) {
+				wantComputed++
 			}
 		}
 		for _, workers := range []int{1, 4} {
-			got, computed, err := EnumerateReuse(context.Background(), n, Params{}, workers, NewSetFrom(seedSlots))
+			seed := &Seed{Cuts: NewSetFrom(seedSlots), LeafOK: leafOK}
+			got, changed, computed, err := EnumerateIncremental(context.Background(), n, Params{}, workers, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gates := 0
+			if computed != wantComputed {
+				t.Fatalf("workers=%d: computed %d, want %d", workers, computed, wantComputed)
+			}
 			for _, id := range n.LiveNodes() {
-				if n.IsGate(id) {
-					gates++
+				if changed[id] != fresh(id) {
+					t.Fatalf("workers=%d: node %d changed=%v, want %v", workers, id, changed[id], fresh(id))
 				}
 			}
-			if computed != gates-seeded {
-				t.Fatalf("workers=%d: computed %d, want %d (gates %d, seeded %d)",
-					workers, computed, gates-seeded, gates, seeded)
-			}
 			sameSets(t, n, got, want, "seeded")
+
+			got, _, computed, err = EnumerateIncremental(context.Background(), n, Params{}, workers,
+				&Seed{Cuts: NewSetFrom(seedSlots)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gates := countGates(n); computed != gates {
+				t.Fatalf("workers=%d, no LeafOK: computed %d, want %d", workers, computed, gates)
+			}
+			sameSets(t, n, got, want, "seeded without LeafOK")
 		}
 	}
 }
@@ -145,43 +173,6 @@ func TestAppendLeavesAllocs(t *testing.T) {
 	}
 }
 
-// RenumberLeaves through a strictly monotone map must be exactly a fresh
-// enumeration of the isomorphic renumbered network.
-func TestRenumberLeavesMatchesFreshEnumeration(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	n := randomReuseNet(rng, 6, 40)
-	s := Enumerate(n, Params{})
-	// Cleanup of a compact network renumbers identically (ids are already in
-	// rebuild order), so shift everything instead: a strictly monotone map.
-	shift := func(id int) int { return id + 3 }
-	for _, id := range n.LiveNodes() {
-		cs := append([]Cut(nil), s.For(id)...)
-		RenumberLeaves(cs, shift)
-		for i, c := range cs {
-			orig := s.For(id)[i]
-			if c.Table != orig.Table || c.Size() != orig.Size() {
-				t.Fatalf("node %d cut %d: table/size changed", id, i)
-			}
-			for j := 0; j < c.Size(); j++ {
-				if c.Leaf(j) != orig.Leaf(j)+3 {
-					t.Fatalf("node %d cut %d leaf %d = %d, want %d", id, i, j, c.Leaf(j), orig.Leaf(j)+3)
-				}
-			}
-			if c.sig != sigOfLeaves(&c) {
-				t.Fatalf("node %d cut %d: stale signature", id, i)
-			}
-		}
-	}
-}
-
-func sigOfLeaves(c *Cut) uint64 {
-	var sig uint64
-	for i := 0; i < c.Size(); i++ {
-		sig |= sigOf(int32(c.Leaf(i)))
-	}
-	return sig
-}
-
 // Steady-state enumeration allocations stay bounded: roughly one allocation
 // per node (the kept list) once the scratch pool is warm.
 func TestEnumerateAllocsBounded(t *testing.T) {
@@ -214,6 +205,23 @@ func TestTransformLeavesPolarity(t *testing.T) {
 		for i := range same {
 			if same[i].Table != orig[i].Table || same[i].sig != orig[i].sig {
 				t.Fatalf("node %d cut %d: identity transform changed the cut", id, i)
+			}
+		}
+
+		// A strictly monotone shift without complements moves every leaf,
+		// keeps every table and recomputes the bloom signature.
+		shifted := append([]Cut(nil), orig...)
+		TransformLeaves(shifted, func(l int) (int, bool) { return l + 3, false }, false)
+		for i, c := range shifted {
+			var sig uint64
+			for j := 0; j < c.Size(); j++ {
+				if c.Leaf(j) != orig[i].Leaf(j)+3 {
+					t.Fatalf("node %d cut %d leaf %d = %d, want %d", id, i, j, c.Leaf(j), orig[i].Leaf(j)+3)
+				}
+				sig |= sigOf(int32(c.Leaf(j)))
+			}
+			if c.Table != orig[i].Table || c.sig != sig {
+				t.Fatalf("node %d cut %d: shift changed the table or left a stale signature", id, i)
 			}
 		}
 

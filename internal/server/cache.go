@@ -15,18 +15,21 @@ import (
 
 // Content addressing for requests. The cache key covers exactly what can
 // change the result bytes: the canonical network structure
-// (xag.CanonicalHash) and every result-affecting effective option. Two
+// (xag.CanonicalHash) and every result-affecting effective option. Three
 // options are deliberately excluded, and the retired sequential_commit
 // option is ignored altogether:
 //
 //   - workers: the engine's output is byte-identical across worker counts
-//     (pinned since PR 2 and re-pinned by the golden suite), so parallelism
-//     is an execution detail, not part of the result's identity;
+//     (pinned by the golden suite at workers 1 and 4), so parallelism is an
+//     execution detail, not part of the result's identity;
+//   - incremental: cross-round reuse is byte-identical to full recompute
+//     (pinned by the incremental determinism tests), so it is an execution
+//     detail too;
 //   - deadline: it decides whether a result is produced, never which one.
 //
 // Cost model and the remaining options are folded in normalized to their
-// effective values (cut_size 0 → 6, incremental nil → true), so "defaults
-// spelled out" and "defaults omitted" address the same entry.
+// effective values (cut_size 0 → 6), so "defaults spelled out" and
+// "defaults omitted" address the same entry.
 
 // cacheKeyMagic domain-separates request keys from bare network hashes.
 var cacheKeyMagic = [8]byte{'M', 'C', 'R', 'E', 'Q', 'K', '0', '1'}
@@ -51,9 +54,10 @@ func cacheKey(net *xag.Network, o RequestOptions) rescache.Key {
 	if o.ZeroGain {
 		flags |= 2
 	}
-	if o.Incremental == nil || *o.Incremental {
-		flags |= 4
-	}
+	// Bit 4 once recorded the incremental option. It is set unconditionally
+	// so that default-request keys, including persisted rescache entries,
+	// keep their bytes.
+	flags |= 4
 	b[5] = flags
 	b[6] = 0 // reserved
 	h.Write(b[:])

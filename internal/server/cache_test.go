@@ -76,7 +76,8 @@ func TestCacheHitByteIdentity(t *testing.T) {
 
 // TestCacheKeyRespectsOptions checks that requests differing in an
 // engine-visible option do not share a cache entry, while options that
-// cannot change the output (workers, deadline) do.
+// cannot change the output (workers, deadline) do. Incremental is covered by
+// TestIncrementalOutsideCacheKey.
 func TestCacheKeyRespectsOptions(t *testing.T) {
 	s, ts := newTestServer(t, nil)
 	circuit := benchBristol(t, "decoder")
@@ -104,6 +105,58 @@ func TestCacheKeyRespectsOptions(t *testing.T) {
 	}
 	if got := metricValue(t, s, "mcserved_cache_misses_total"); got != 2 {
 		t.Errorf("mcserved_cache_misses_total = %v, want 2", got)
+	}
+}
+
+// TestIncrementalOutsideCacheKey checks that incremental=false, which only
+// switches off cross-round reuse and yields byte-identical output, is a hit
+// on the entry of the otherwise identical default request, in both the
+// envelope and the query-string form, without a new engine run.
+func TestIncrementalOutsideCacheKey(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	circuit := benchBristol(t, "decoder")
+
+	resp1, body1 := postJSON(t, ts, "/v1/optimize", OptimizeRequest{Bristol: circuit})
+	if resp1.StatusCode != http.StatusOK {
+		t.Fatalf("default request: %d: %s", resp1.StatusCode, body1)
+	}
+	if got := resp1.Header.Get("X-MC-Cache"); got != "miss" {
+		t.Fatalf("default request X-MC-Cache = %q, want miss", got)
+	}
+	runs := metricValue(t, s, "mcc_runs_total")
+
+	resp2, body2 := postJSON(t, ts, "/v1/optimize", map[string]any{
+		"bristol": circuit,
+		"options": map[string]any{"incremental": false},
+	})
+	if resp2.StatusCode != http.StatusOK {
+		t.Fatalf("incremental=false request: %d: %s", resp2.StatusCode, body2)
+	}
+	if got := resp2.Header.Get("X-MC-Cache"); got != "hit" {
+		t.Errorf("incremental=false request X-MC-Cache = %q, want hit", got)
+	}
+	if !bytes.Equal(body1, body2) {
+		t.Fatal("incremental=false response body differs from the default request's")
+	}
+
+	respQ, bodyQ := postBristol(t, ts, circuit, "?incremental=false", map[string]string{"Accept": "text/plain"})
+	if respQ.StatusCode != http.StatusOK {
+		t.Fatalf("?incremental=false request: %d: %s", respQ.StatusCode, bodyQ)
+	}
+	if got := respQ.Header.Get("X-MC-Cache"); got != "hit" {
+		t.Errorf("?incremental=false request X-MC-Cache = %q, want hit", got)
+	}
+	var jr struct {
+		Bristol string `json:"bristol"`
+	}
+	if err := json.Unmarshal(body1, &jr); err != nil {
+		t.Fatal(err)
+	}
+	if string(bodyQ) != jr.Bristol {
+		t.Error("?incremental=false text body differs from the default request's bristol")
+	}
+	if got := metricValue(t, s, "mcc_runs_total"); got != runs {
+		t.Errorf("incremental=false started a new engine run: mcc_runs_total %v -> %v", runs, got)
 	}
 }
 

@@ -235,38 +235,6 @@ func (t T) TranslateVar(i, j int) T {
 // XorVar returns g(x) = f(x) ⊕ x_i, the "disjoint translational" operation.
 func (t T) XorVar(i int) T { return t.Xor(Var(i, t.N)) }
 
-// Permute returns the table of g(x) = f(y) where y_{p[i]} = x_i; that is,
-// variable i of the result plays the role of variable p[i] of f. p must be a
-// permutation of 0..n-1.
-//
-// Word-parallel: the permutation is realized as a sequence of at most n−1
-// variable swaps (each a chain of word-parallel adjacent swaps) instead of an
-// O(2ⁿ·n) per-minterm bit assembly.
-func (t T) Permute(p []int) T {
-	if len(p) != t.N {
-		panic("tt: permutation length mismatch")
-	}
-	// pos[v] is the index where original variable v currently sits; at[i] is
-	// the original variable currently sitting at index i.
-	var pos, at [MaxVars]int
-	for i := 0; i < t.N; i++ {
-		pos[i], at[i] = i, i
-	}
-	out := t
-	for i := 0; i < t.N; i++ {
-		want := p[i] // the original variable that must end up at index i
-		j := pos[want]
-		if j == i {
-			continue
-		}
-		out = out.SwapVars(i, j)
-		other := at[i]
-		at[i], at[j] = want, other
-		pos[want], pos[other] = i, j
-	}
-	return out
-}
-
 // ApplyLinear returns g(x) = f(A·x ⊕ b) where A is given by columns: col[i]
 // is the image of basis vector e_i, i.e. (A·x)_k = ⊕_i x_i·col[i]_k.
 //

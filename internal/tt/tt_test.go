@@ -188,20 +188,19 @@ func TestTranslateVar(t *testing.T) {
 	}
 }
 
-func TestPermute(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(MaxVars)
-		f := New(rng.Uint64(), n)
-		p := rng.Perm(n)
-		g := f.Permute(p)
-		for m := 0; m < f.Size(); m++ {
-			src := 0
-			for i := 0; i < n; i++ {
-				src |= m >> uint(i) & 1 << uint(p[i])
+func TestApplyLinearMatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for n := 1; n <= MaxVars; n++ {
+		for trial := 0; trial < 300; trial++ {
+			f := T{rng.Uint64() & Mask(n), n}
+			col := make([]uint, n)
+			for i := range col {
+				col[i] = uint(rng.Intn(1 << uint(n))) // singular maps included
 			}
-			if g.Get(m) != f.Get(src) {
-				t.Fatalf("permute %v wrong at m=%d", p, m)
+			b := uint(rng.Intn(1 << uint(n)))
+			if got, want := f.ApplyLinear(col, b), f.applyLinearGeneric(col, b); got != want {
+				t.Fatalf("n=%d f=%#x col=%v b=%#x: ApplyLinear %#x, generic %#x",
+					n, f.Bits, col, b, got.Bits, want.Bits)
 			}
 		}
 	}
